@@ -1,13 +1,15 @@
 // Package cluster shards one trace-analysis job across a set of
 // dcatch-serve worker instances, window by window.
 //
-// The unit of distribution is the chunk window — the same [start, end)
-// decomposition hb.ChunkWindows gives every chunked code path. The
+// The unit of distribution is the chunk window, cut by hb.Cutter — the
+// cutter every chunked code path uses — as the trace arrives. The
 // coordinator slices the trace at record boundaries (trace.Trace.Window),
 // ships each window's binary encoding to a worker over a typed HTTP RPC
 // (POST /v1/cluster/scan), and folds the returned detect.WindowScan wire
 // payloads through detect.ChunkMerger.Merge in strict window-index order.
-// Because the window list, the per-window scan, and the merge are the exact
+// Workers and the coordinator's local fallback scan a window with
+// scancache.ScanWindow, the single-node engine's per-window step. Because
+// the window list, the per-window scan, and the merge are the exact
 // functions the single-node chunked path runs, the rendered report is
 // byte-identical to that path — regardless of how replies race back.
 //

@@ -262,7 +262,10 @@ func TestBusyRetrySucceeds(t *testing.T) {
 	const chunk = 500
 	want := oracle(t, tr, chunk)
 
-	real := NewWorker(WorkerConfig{})
+	// One scan slot per coordinator request in flight (InFlight defaults to
+	// 2): the only 429s are the two injected below, so the outcome does not
+	// hinge on a scan finishing within the loser's retry budget.
+	real := NewWorker(WorkerConfig{Scans: 2})
 	var n atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ScanPath, func(rw http.ResponseWriter, r *http.Request) {

@@ -27,10 +27,9 @@ type Config struct {
 	// Peers lists worker base URLs ("http://host:port"). Required.
 	Peers []string
 
-	// ChunkSize is the window length in records (required, > 0);
-	// ChunkOverlap defaults to ChunkSize/4, exactly as hb.ChunkWindows.
-	ChunkSize    int
-	ChunkOverlap int
+	// ChunkSize is the window length in records (required, > 0); windows
+	// are cut by hb.Cutter, exactly as hb.ChunkWindows cuts them.
+	ChunkSize int
 
 	// HB and Detect are the per-window analysis options. They serve two
 	// roles: their wire-expressible subset (backend, scan mode, MaxGroup,
@@ -113,17 +112,13 @@ type task struct {
 	start, end int
 	body       []byte
 	key        scancache.Key
-	useCache   bool
 	out        chan scanOut
 }
 
 type scanOut struct {
-	ws      detect.WindowScan
-	mem     int64
-	backend string
-	remote  bool
-	cached  bool
-	err     error
+	win    scancache.Window
+	remote bool
+	err    error
 }
 
 type peer struct {
@@ -202,16 +197,14 @@ type Coordinator struct {
 	rec  *obs.Recorder
 	logf func(string, ...any)
 
-	size, overlap int
-	peers         []*peer
-	wg            sync.WaitGroup
-	closeOnce     sync.Once
-	aborted       atomic.Bool
+	cut       *hb.Cutter
+	peers     []*peer
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	aborted   atomic.Bool
 
-	start    int // open window's start
 	windows  [][2]int
 	outs     []chan scanOut
-	keys     []scancache.Key // per-window cache keys (zero when !cached)
 	finished bool
 
 	spec   scancache.Spec
@@ -255,13 +248,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
-	overlap := cfg.ChunkOverlap
-	if overlap <= 0 {
-		overlap = cfg.ChunkSize / 4
-	}
-	if overlap >= cfg.ChunkSize {
-		overlap = cfg.ChunkSize - 1
-	}
 	c := &Coordinator{
 		cfg: cfg,
 		req: ScanRequest{
@@ -270,10 +256,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			MaxGroup:  cfg.Detect.MaxGroup,
 			MemBudget: cfg.HB.MemBudget,
 		},
-		rec:     cfg.Obs,
-		logf:    cfg.Logf,
-		size:    cfg.ChunkSize,
-		overlap: overlap,
+		rec:  cfg.Obs,
+		logf: cfg.Logf,
+		cut:  hb.NewCutter(cfg.ChunkSize, 0),
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
@@ -300,49 +285,44 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // Notify dispatches every window that has filled within the first n records
-// of tr — the streaming restatement of hb.ChunkWindows' loop, called from
-// the ingest path as segments arrive. tr may still be growing: only the
-// decoded prefix is touched, and each window's segment is keyed and (on a
-// cache miss) encoded before Notify returns, so later appends (or
-// backing-array reallocation) cannot race the dispatch. Enqueueing blocks once the assigned peer's bounded
-// queue is full, which backpressures ingest instead of buffering the whole
-// trace in flight.
+// of tr, called from the ingest path as segments arrive. tr may still be
+// growing: only the decoded prefix is touched, and each window's segment is
+// keyed and (on a cache miss) encoded before Notify returns, so later
+// appends (or backing-array reallocation) cannot race the dispatch.
+// Enqueueing blocks once the assigned peer's bounded queue is full, which
+// backpressures ingest instead of buffering the whole trace in flight.
 func (c *Coordinator) Notify(tr *trace.Trace) {
-	for c.start+c.size <= len(tr.Recs) {
-		end := c.start + c.size
-		c.dispatch(tr, c.start, end)
-		c.start = end - c.overlap
+	for {
+		w, ok := c.cut.Next(len(tr.Recs))
+		if !ok {
+			return
+		}
+		c.dispatch(tr, w)
 	}
 }
 
-func (c *Coordinator) dispatch(tr *trace.Trace, start, end int) {
+func (c *Coordinator) dispatch(tr *trace.Trace, w [2]int) {
 	i := len(c.windows)
 	out := make(chan scanOut, 1)
-	c.windows = append(c.windows, [2]int{start, end})
+	c.windows = append(c.windows, w)
 	c.outs = append(c.outs, out)
+	view := tr.Window(w[0], w[1])
 	var key scancache.Key
-	if c.cached {
-		key = c.spec.KeyTrace(tr.Window(start, end))
-	}
-	c.keys = append(c.keys, key)
 	if c.cached {
 		// The key is a field hash over the window's records, so the lookup
 		// skips segment encoding entirely. A hit answers the window right
 		// here: nothing ships to a peer, and a resubmitted trace with 1%
 		// changed records sends only its dirty windows over the wire.
-		if ent, ok := c.cfg.Cache.Get(key); ok {
-			if ws, err := detect.DecodeWindowScan(ent.Payload); err == nil {
-				c.rec.Count("cluster.windows.cached", 1)
-				out <- scanOut{ws: ws, mem: ent.MemBytes, backend: ent.Backend, cached: true}
-				return
-			}
-			c.cfg.Cache.Discard(key)
+		key = c.spec.KeyTrace(view)
+		if win, ok := c.cfg.Cache.Lookup(key); ok {
+			c.rec.Count("cluster.windows.cached", 1)
+			out <- scanOut{win: win}
+			return
 		}
 	}
 	c.rec.Count("cluster.windows.dispatched", 1)
-	body := tr.Window(start, end).Encode()
-	c.peers[i%len(c.peers)].queue <- task{index: i, start: start, end: end, body: body,
-		key: key, useCache: c.cached, out: out}
+	c.peers[i%len(c.peers)].queue <- task{index: i, start: w[0], end: w[1], body: view.Encode(),
+		key: key, out: out}
 }
 
 func (c *Coordinator) closeQueues() {
@@ -363,16 +343,16 @@ func (c *Coordinator) Close() {
 }
 
 // Finish dispatches the tail window, waits for every reply in window-index
-// order — re-running any failed window locally — and folds them through
-// ChunkMerger.Merge. tr must be the complete trace Notify was fed.
+// order — re-running any failed window locally through
+// scancache.ScanWindow, the step every windowed engine runs — and folds them
+// through ChunkMerger.Merge. tr must be the complete trace Notify was fed.
 func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 	if c.finished {
 		return &Result{OOM: true, Err: fmt.Errorf("cluster: Finish called twice")}
 	}
 	c.finished = true
-	n := len(tr.Recs)
-	if len(c.windows) == 0 || c.windows[len(c.windows)-1][1] < n {
-		c.dispatch(tr, c.start, n)
+	if w, ok := c.cut.Tail(len(tr.Recs)); ok {
+		c.dispatch(tr, w)
 	}
 	c.closeQueues()
 
@@ -380,25 +360,23 @@ func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 	sp.Attr("windows", len(c.windows))
 	sp.Attr("peers", len(c.peers))
 	dopts := c.cfg.Detect
-	dopts.Obs = sp
+	fsp := sp.Child("detect.find_chunked")
+	dopts.Obs = fsp
 	merger := detect.NewChunkMerger(dopts)
 	res := &Result{Windows: len(c.windows)}
 	for i, wn := range c.windows {
 		out := <-c.outs[i]
 		if out.err != nil && res.Err == nil {
-			c.rec.Count("cluster.windows.local", 1)
 			c.logf("cluster: window %d [%d,%d): remote scan failed (%v); re-running locally",
 				i, wn[0], wn[1], out.err)
-			out = c.scanLocal(tr, wn, sp)
-			if out.err == nil && c.cached {
-				// Encode before Merge below rebases the scan in place.
-				c.cfg.Cache.Put(c.keys[i], scancache.Entry{
-					Payload:  out.ws.Encode(),
-					Backend:  out.backend,
-					MemBytes: out.mem,
-					Records:  wn[1] - wn[0],
-				})
-			}
+			lsp := sp.Child("cluster.local_scan")
+			lsp.Attr("window_start", wn[0])
+			hcfg, ldopts := c.cfg.HB, c.cfg.Detect
+			hcfg.Parallelism = 1
+			hcfg.Obs, ldopts.Obs = lsp, lsp
+			win, err := c.cfg.Cache.ScanWindow(tr.Window(wn[0], wn[1]), wn[0], hcfg, ldopts)
+			lsp.End()
+			out = scanOut{win: win, err: err}
 		}
 		if out.err != nil {
 			// First failure wins and later windows are skipped — the same
@@ -410,52 +388,35 @@ func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 			continue
 		}
 		switch {
-		case out.cached:
-			res.Cached++
 		case out.remote:
 			res.Remote++
 			c.rec.Count("cluster.windows.remote", 1)
+		case out.win.Hit:
+			res.Cached++
 		default:
 			res.Local++
+			c.rec.Count("cluster.windows.local", 1)
 		}
 		if res.Backend == "" {
-			res.Backend = out.backend
+			res.Backend = out.win.Backend
 		}
-		if out.mem > res.PeakMemBytes {
-			res.PeakMemBytes = out.mem
-		}
-		merger.Merge(out.ws, wn[0])
+		res.PeakMemBytes = max(res.PeakMemBytes, out.win.MemBytes)
+		merger.Merge(out.win.Scan, wn[0])
 	}
 	c.wg.Wait()
 	if res.OOM {
+		fsp.End()
 		sp.Attr("oom", true)
 		sp.End()
 		return res
 	}
 	res.Report = merger.Report()
+	fsp.End()
 	sp.Attr("remote_windows", res.Remote)
 	sp.Attr("local_windows", res.Local)
 	sp.Attr("cached_windows", res.Cached)
 	sp.End()
 	return res
-}
-
-// scanLocal re-runs one window on the coordinator — the fallback that makes
-// a dead or saturated worker degrade the job to slower, never wrong.
-func (c *Coordinator) scanLocal(tr *trace.Trace, wn [2]int, parent *obs.Span) scanOut {
-	sp := parent.Child("cluster.local_scan")
-	sp.Attr("window_start", wn[0])
-	defer sp.End()
-	hcfg := c.cfg.HB
-	hcfg.Parallelism = 1
-	hcfg.Obs = sp
-	g, err := hb.Build(tr.Window(wn[0], wn[1]), hcfg)
-	if err != nil {
-		return scanOut{err: fmt.Errorf("hb: chunk [%d,%d): %w", wn[0], wn[1], err)}
-	}
-	dopts := c.cfg.Detect
-	dopts.Obs = sp
-	return scanOut{ws: detect.ScanGraph(g, dopts), mem: g.MemBytes(), backend: g.Backend().String()}
 }
 
 func (c *Coordinator) peerLoop(p *peer) {
@@ -586,18 +547,14 @@ func (c *Coordinator) attempt(u string, t task) (scanOut, bool, error) {
 		return scanOut{}, false, err
 	}
 	mem, _ := strconv.ParseInt(resp.Header.Get(headerMemBytes), 10, 64)
-	if t.useCache {
+	win := scancache.Window{Scan: ws, Backend: resp.Header.Get(headerBackend), MemBytes: mem, Payload: body}
+	if c.cached {
 		// The reply body IS the canonical DCWS payload — store it verbatim
 		// so the next job with this segment skips the wire entirely.
-		c.cfg.Cache.Put(t.key, scancache.Entry{
-			Payload:  body,
-			Backend:  resp.Header.Get(headerBackend),
-			MemBytes: mem,
-			Records:  t.end - t.start,
-		})
+		c.cfg.Cache.Store(t.key, win, t.end-t.start)
 	}
 	c.rec.Observe("cluster.scan_rtt_us", time.Since(t0).Microseconds())
-	return scanOut{ws: ws, mem: mem, backend: resp.Header.Get(headerBackend), remote: true}, false, nil
+	return scanOut{win: win, remote: true}, false, nil
 }
 
 // CoreResult lifts a cluster Result into the *core.Result shape the shared

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"dcatch/internal/detect"
-	"dcatch/internal/hb"
 	"dcatch/internal/lifecycle"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
@@ -45,14 +43,16 @@ type WorkerConfig struct {
 
 	// Cache, when non-nil, memoizes window scans across jobs and
 	// coordinators: a request whose window records and wire options match a
-	// cached entry is answered from the cache without charging a scan slot
-	// or the admission gate, and every fresh scan populates the cache.
+	// cached entry is answered from the cache without a build, and every
+	// fresh scan populates the cache. A hit still takes a scan slot and
+	// passes admission like any other request.
 	Cache *scancache.Cache
 }
 
-// Worker is the http.Handler serving ScanPath: it decodes its assigned
-// segment, builds the window's HB graph, runs the configured detection
-// scan, and returns the serialized detect.WindowScan.
+// Worker is the http.Handler serving ScanPath. Every request takes one
+// path: parse → scan slot → admission → decode → scancache.ScanWindow
+// (cache probe, build, scan, store) → reply with the canonical encoded
+// detect.WindowScan.
 type Worker struct {
 	cfg WorkerConfig
 	sem chan struct{}
@@ -87,17 +87,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		}
 		defer w.cfg.Drain.Exit()
 	}
-	if w.cfg.Cache != nil {
-		w.serveCached(rw, r)
-		return
-	}
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	default:
-		w.busy(rw, "cluster.worker.rejected_busy")
-		return
-	}
 	req, err := parseScanRequest(r.URL.Query())
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -107,66 +96,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if w.cfg.Admit != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.AdmitTimeout)
-		release, err := w.cfg.Admit(ctx, req.MemBudget)
-		cancel()
-		if err != nil {
-			w.busy(rw, "cluster.worker.rejected_admission")
-			return
-		}
-		defer release()
-	}
-	tr, err := trace.Decode(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes))
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("cluster: bad segment: %v", err), http.StatusBadRequest)
-		return
-	}
-	w.scanReply(rw, req, hcfg, dopts, tr)
-}
-
-// serveCached is the scan path when a window-scan cache is configured. The
-// request body is decoded up front so the cache key — a field hash of the
-// window's records, the same key the coordinator derives from its window
-// sub-trace — can be computed before any scan slot is charged: a hit
-// replies immediately even on a fully busy worker, and a miss proceeds
-// through the same slot/admission/build/scan flow as the uncached path,
-// populating the cache on the way out. A cached payload the decoder
-// rejects is discarded, never shipped.
-func (w *Worker) serveCached(rw http.ResponseWriter, r *http.Request) {
-	req, err := parseScanRequest(r.URL.Query())
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	hcfg, dopts, err := req.scanConfigs()
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tr, err := trace.Decode(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes))
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("cluster: bad segment: %v", err), http.StatusBadRequest)
-		return
-	}
-	spec, cacheable := scancache.SpecFor(hcfg, dopts)
-	var key scancache.Key
-	if cacheable {
-		key = spec.KeyTrace(tr)
-		if ent, hit := w.cfg.Cache.Get(key); hit {
-			if _, derr := detect.DecodeWindowScan(ent.Payload); derr != nil {
-				w.cfg.Cache.Discard(key)
-			} else {
-				w.cfg.Obs.Count("cluster.worker.cache_hits", 1)
-				rw.Header().Set("Content-Type", "application/octet-stream")
-				rw.Header().Set(headerBackend, ent.Backend)
-				rw.Header().Set(headerMemBytes, fmt.Sprint(ent.MemBytes))
-				rw.Header().Set(headerRecords, fmt.Sprint(ent.Records))
-				rw.Write(ent.Payload)
-				return
-			}
-		}
 	}
 	select {
 	case w.sem <- struct{}{}:
@@ -185,50 +114,45 @@ func (w *Worker) serveCached(rw http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
-	enc, g := w.scanReply(rw, req, hcfg, dopts, tr)
-	if cacheable && enc != nil {
-		w.cfg.Cache.Put(key, scancache.Entry{
-			Payload:  enc,
-			Backend:  g.Backend().String(),
-			MemBytes: g.MemBytes(),
-			Records:  len(tr.Recs),
-		})
+	tr, err := trace.Decode(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes))
+	if err != nil {
+		http.Error(rw, fmt.Sprintf("cluster: bad segment: %v", err), http.StatusBadRequest)
+		return
 	}
-}
 
-// scanReply builds the window's HB graph, runs the detection scan, and
-// replies with the canonical encoded scan. It returns the encoding and the
-// graph (nil, nil when the build failed and the error reply was sent).
-func (w *Worker) scanReply(rw http.ResponseWriter, req ScanRequest, hcfg hb.Config, dopts detect.Options, tr *trace.Trace) ([]byte, *hb.Graph) {
 	t0 := time.Now()
 	sp := w.cfg.Obs.Span("cluster.worker.scan")
 	sp.Attr("window", req.Window)
 	sp.Attr("start", req.Start)
 	sp.Attr("records", len(tr.Recs))
-	hcfg.Obs = sp
-	dopts.Obs = sp
-	g, err := hb.Build(tr, hcfg)
+	hcfg.Obs, dopts.Obs = sp, sp
+	win, err := w.cfg.Cache.ScanWindow(tr, req.Start, hcfg, dopts)
 	if err != nil {
 		sp.End()
 		// The coordinator re-runs failed windows locally; a budget-exceeded
 		// window will fail there too and surface as the job's OOM result,
 		// exactly as the single-node chunked path reports it.
 		http.Error(rw, fmt.Sprintf("cluster: window scan failed: %v", err), http.StatusInternalServerError)
-		return nil, nil
+		return
 	}
-	ws := detect.ScanGraph(g, dopts)
-	sp.Attr("backend", g.Backend().String())
-	sp.Attr("candidates", ws.Candidates())
+	sp.Attr("backend", win.Backend)
+	sp.Attr("candidates", win.Scan.Candidates())
 	sp.End()
-	w.cfg.Obs.Count("cluster.worker.scans", 1)
-	w.cfg.Obs.Count("cluster.worker.records", int64(len(tr.Recs)))
-	w.cfg.Obs.Observe("cluster.worker.scan_us", time.Since(t0).Microseconds())
+	if win.Hit {
+		w.cfg.Obs.Count("cluster.worker.cache_hits", 1)
+	} else {
+		w.cfg.Obs.Count("cluster.worker.scans", 1)
+		w.cfg.Obs.Count("cluster.worker.records", int64(len(tr.Recs)))
+		w.cfg.Obs.Observe("cluster.worker.scan_us", time.Since(t0).Microseconds())
+	}
 
-	enc := ws.Encode()
+	payload := win.Payload
+	if payload == nil {
+		payload = win.Scan.Encode()
+	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set(headerBackend, g.Backend().String())
-	rw.Header().Set(headerMemBytes, fmt.Sprint(g.MemBytes()))
+	rw.Header().Set(headerBackend, win.Backend)
+	rw.Header().Set(headerMemBytes, fmt.Sprint(win.MemBytes))
 	rw.Header().Set(headerRecords, fmt.Sprint(len(tr.Recs)))
-	rw.Write(enc)
-	return enc, g
+	rw.Write(payload)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dcatch/internal/obs"
 	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
@@ -56,44 +57,51 @@ func AnalyzeStreamed(an *stream.Analyzer, opts Options) (*Result, error) {
 	res.Stats.TraceBytes = tr.EncodedSize()
 	rec.Logf("analyze trace %s: %d records", tr.Program, len(tr.Recs))
 
+	if !res.analyzeTrace(an, rec) {
+		return res, nil
+	}
+	res.SP = res.TA
+	res.Final = res.TA
+	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
+	res.Stats.LPStatic, res.Stats.LPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
+	res.countStage(rec, "final", res.Final)
+	return res, nil
+}
+
+// analyzeTrace runs the trace-analysis ("TA") stage on an analyzer holding
+// the whole trace: the streaming engine's Finish, which is the full build or
+// — when the closure exceeds the budget — the chunked window replay. It
+// fills r.TA and the HB stats, and returns false when the analysis ran out
+// of memory (r.OOM is then set).
+func (r *Result) analyzeTrace(an *stream.Analyzer, rec *obs.Recorder) bool {
 	sp := rec.Span("core.trace_analysis")
+	defer sp.End()
 	t0 := time.Now()
 	an.SetSpans(sp)
 	sr := an.Finish()
-	res.Stats.AnalysisTime = time.Since(t0)
+	r.Stats.AnalysisTime = time.Since(t0)
 	if sr.OOM {
-		res.OOM = true
+		r.OOM = true
 		sp.Attr("oom", true)
-		sp.End()
+		stage := "trace analysis"
 		if sr.Chunked {
-			rec.Logf("chunked analysis: OUT OF MEMORY (%v)", sr.Err)
-		} else {
-			rec.Logf("trace analysis: OUT OF MEMORY (%v)", sr.Err)
+			stage = "chunked analysis"
 		}
-		return res, nil
+		rec.Logf("%s: OUT OF MEMORY (%v)", stage, sr.Err)
+		return false
 	}
-	res.TA = sr.Report
-	res.Stats.HBVertices = sr.HBVertices
-	res.Stats.HBEdges = sr.HBEdges
-	res.Stats.HBMemBytes = sr.HBMemBytes
-	res.Stats.ReachBackend = sr.Backend
 	if sr.Chunked {
-		res.Chunked = true
 		sp.Attr("chunked", true)
-	} else {
-		res.Graph = sr.Graph
 	}
-	sp.End()
-
-	res.SP = res.TA
-	res.Final = res.TA
-	res.Stats.TAStatic = res.TA.StaticCount()
-	res.Stats.TACallstack = res.TA.CallstackCount()
-	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
-	res.Stats.LPStatic, res.Stats.LPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
-	res.countStage(rec, "ta", res.TA)
-	res.countStage(rec, "final", res.Final)
-	rec.Logf("trace analysis: %d/%d candidates in %v",
-		res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
-	return res, nil
+	r.TA, r.Chunked, r.Graph = sr.Report, sr.Chunked, sr.Graph
+	r.Stats.HBVertices = sr.HBVertices
+	r.Stats.HBEdges = sr.HBEdges
+	r.Stats.HBMemBytes = sr.HBMemBytes
+	r.Stats.ReachBackend = sr.Backend
+	r.Stats.TAStatic = r.TA.StaticCount()
+	r.Stats.TACallstack = r.TA.CallstackCount()
+	r.countStage(rec, "ta", r.TA)
+	rec.Logf("trace analysis: %d vertices, %d edges, %d/%d candidates in %v (chunked: %v)",
+		sr.HBVertices, sr.HBEdges, r.Stats.TAStatic, r.Stats.TACallstack, r.Stats.AnalysisTime, sr.Chunked)
+	return true
 }

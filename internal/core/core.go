@@ -210,94 +210,17 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		}
 	}
 
-	// Trace analysis without Rule-Mpull: the "TA" stage of Table 5.
-	sp = rec.Span("core.trace_analysis")
-	t0 = time.Now()
-	cfg := opts.HB
-	cfg.LoopReads = nil
-	cfg.Obs = sp
-	dopt := opts.Detect
-	dopt.Obs = sp
-	g0, err := hb.Build(res.Trace, cfg)
-	if err != nil {
-		if opts.ChunkSize <= 0 {
-			res.OOM = true
-			res.Stats.AnalysisTime = time.Since(t0)
-			sp.Attr("oom", true)
-			sp.End()
-			rec.Logf("trace analysis: OUT OF MEMORY (%v)", err)
-			return res, nil
-		}
-		// Chunked fallback (§7.2): analyze window by window through the
-		// shared stream window engine — the same build/scan/merge code the
-		// streaming and cluster paths run (byte-identical to the old
-		// hb.BuildChunked + detect.FindChunked by its documented
-		// contract), with the scan cache consulted per window when
-		// configured.
-		rec.Logf("trace analysis: budget exceeded, falling back to %d-record windows", opts.ChunkSize)
-		wan := stream.New(stream.Options{
-			HB: cfg, Detect: dopt,
-			ChunkSize: opts.ChunkSize, ChunkOverlap: 0,
-			Cache: opts.ScanCache,
-		})
-		wan.AppendTrace(res.Trace)
-		wres := wan.Finish()
-		if wres.OOM {
-			res.OOM = true
-			res.Stats.AnalysisTime = time.Since(t0)
-			sp.Attr("oom", true)
-			sp.End()
-			rec.Logf("chunked analysis: OUT OF MEMORY (%v)", wres.Err)
-			return res, nil
-		}
-		res.Chunked = true
-		res.TA = wres.Report
-		res.Stats.TAStatic = res.TA.StaticCount()
-		res.Stats.TACallstack = res.TA.CallstackCount()
-		res.Stats.AnalysisTime = time.Since(t0)
-		res.Stats.HBVertices = len(res.Trace.Recs)
-		res.Stats.HBMemBytes = wres.HBMemBytes
-		res.Stats.ReachBackend = wres.Backend
-		sp.Attr("chunked", true)
-		sp.End()
-		res.countStage(rec, "ta", res.TA)
-		rec.Logf("trace analysis (chunked): %d/%d candidates in %v",
-			res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
-		// Pruning still applies; the loop-sync HB stage needs the full
-		// graph, so the final report is the pruned chunked one.
-		sp = rec.Span("core.static_pruning")
-		t0 = time.Now()
-		if opts.SkipPrune {
-			res.SP = res.TA
-		} else {
-			res.SP, _ = res.Analysis.Prune(res.TA, res.Trace)
-		}
-		res.Stats.SPStatic = res.SP.StaticCount()
-		res.Stats.SPCallstack = res.SP.CallstackCount()
-		res.Stats.PruningTime = time.Since(t0)
-		sp.End()
-		res.Final = res.SP
-		res.Stats.LPStatic = res.Final.StaticCount()
-		res.Stats.LPCallstack = res.Final.CallstackCount()
-		res.countStage(rec, "sp", res.SP)
-		res.countStage(rec, "final", res.Final)
-		rec.Logf("static pruning: %d/%d candidates in %v",
-			res.Stats.SPStatic, res.Stats.SPCallstack, res.Stats.PruningTime)
+	// Trace analysis without Rule-Mpull: the "TA" stage of Table 5, on the
+	// same streaming engine AnalyzeTrace runs — the full build, or the
+	// chunked fallback (§7.2) when the closure exceeds the budget.
+	an := stream.New(stream.Options{
+		HB: opts.HB, Detect: opts.Detect, ChunkSize: opts.ChunkSize,
+		Logf: rec.Logf, Cache: opts.ScanCache,
+	})
+	an.AppendTrace(res.Trace)
+	if !res.analyzeTrace(an, rec) {
 		return res, nil
 	}
-	res.TA = detect.Find(g0, dopt)
-	res.Stats.TAStatic = res.TA.StaticCount()
-	res.Stats.TACallstack = res.TA.CallstackCount()
-	res.Stats.AnalysisTime = time.Since(t0)
-	res.Stats.HBVertices = g0.N()
-	res.Stats.HBEdges = g0.Edges()
-	res.Stats.HBMemBytes = g0.MemBytes()
-	res.Stats.ReachBackend = g0.Backend().String()
-	res.Graph = g0
-	sp.End()
-	res.countStage(rec, "ta", res.TA)
-	rec.Logf("trace analysis: %d vertices, %d edges, %d/%d candidates in %v",
-		g0.N(), g0.Edges(), res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
 
 	// Static pruning (§4).
 	sp = rec.Span("core.static_pruning")
@@ -317,15 +240,18 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		res.Stats.SPStatic, res.Stats.SPCallstack, res.Stats.PruningTime)
 
 	// Loop-synchronization stage: rebuild with Rule-Mpull and suppress
-	// pull-sync pairs, then intersect with the pruned set.
+	// pull-sync pairs, then intersect with the pruned set. The chunked
+	// fallback cannot afford the full graph, so its final report is the
+	// pruned one.
 	res.Final = res.SP
-	if !opts.SkipLoopSync && len(loopReads) > 0 {
+	if !opts.SkipLoopSync && len(loopReads) > 0 && !res.Chunked {
 		sp = rec.Span("core.loop_sync_analysis")
+		cfg := opts.HB
 		cfg.LoopReads = loopReads
 		cfg.Obs = sp
 		g1, err := hb.Build(res.Trace, cfg)
 		if err == nil {
-			opt2 := dopt
+			opt2 := opts.Detect
 			opt2.SuppressPull = true
 			opt2.Obs = sp
 			lp := detect.Find(g1, opt2)

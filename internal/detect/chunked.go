@@ -59,8 +59,8 @@ func FindChunked(chunks []hb.Chunk, opts Options) *Report {
 	// The per-window scans are done, so the merge owns every entry and can
 	// adopt pointers from the window maps instead of copying pairs. The
 	// window-order merge itself lives in ChunkMerger (merge.go), shared with
-	// the streaming analyzer's flush-boundary windows.
-	m := newChunkMergerOn(opts, sp)
+	// the streaming analyzer and the cluster coordinator.
+	m := NewChunkMerger(opts)
 	for ci := range chunks {
 		m.merge(maps[ci], tabs[ci], chunks[ci].Start)
 	}

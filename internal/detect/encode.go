@@ -64,9 +64,9 @@ const (
 // Candidates returns the number of distinct callstack pairs in the window.
 func (ws WindowScan) Candidates() int { return len(ws.fm) }
 
-// ScanGraph builds a WindowScan from one window graph without a merger —
-// the cluster worker's entry point. It is findMap behind a stable name; the
-// per-window scan runs with opts.Parallelism = 1, the same choice
+// ScanGraph scans one window graph into a WindowScan — the one per-window
+// scan entry every windowed engine reaches through scancache.ScanWindow.
+// It is findMap pinned to opts.Parallelism = 1, the same choice
 // FindChunked's parallel path makes for its window-level workers (window
 // sharding subsumes per-window parallelism; the bytes are identical either
 // way).

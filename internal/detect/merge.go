@@ -1,23 +1,18 @@
 package detect
 
-import (
-	"dcatch/internal/hb"
-	"dcatch/internal/obs"
-)
+import "dcatch/internal/obs"
 
 // ChunkMerger folds per-window candidate maps into one global report, one
 // window at a time. It is the incremental core of FindChunked, split out so
-// the streaming analyzer (internal/stream) can merge windows as they close —
-// while the trace is still being written — instead of holding every window
-// graph until the end. Windows must be added in ascending start order; the
-// merge is then byte-identical to FindChunked over the same window list:
-// the first window containing a callstack pair provides its representative
-// records, Dynamic counts are summed, and the final report is rendered in
-// the canonical ascending-representative order.
+// the streaming analyzer and the cluster coordinator can merge windows as
+// their scans arrive instead of holding every window graph until the end.
+// Windows must be merged in ascending start order; the result is then
+// byte-identical to FindChunked over the same window list: the first window
+// containing a callstack pair provides its representative records, Dynamic
+// counts are summed, and the final report is rendered in the canonical
+// ascending-representative order.
 type ChunkMerger struct {
-	opts    Options
-	sp      *obs.Span
-	ownSpan bool
+	sp *obs.Span
 
 	// Each window interns its stacks independently, so its packed-ID keys
 	// are not comparable across windows; global re-interns every window's
@@ -28,49 +23,18 @@ type ChunkMerger struct {
 	windows int
 }
 
-// NewChunkMerger returns an empty merger. A detect.find_chunked span is
-// opened under opts.Obs and closed by Report.
+// NewChunkMerger returns an empty merger. Its accounting lands on opts.Obs
+// (callers pass their detect.find_chunked span and end it after Report).
 func NewChunkMerger(opts Options) *ChunkMerger {
-	sp := opts.Obs.Child("detect.find_chunked")
-	opts.Obs = sp // per-window detect.find spans nest under this one
-	return &ChunkMerger{opts: opts, sp: sp, ownSpan: true,
-		global: map[string]int32{}, merged: map[uint64]*foundPair{}}
-}
-
-// newChunkMergerOn is the internal constructor for FindChunked, which owns
-// its span already.
-func newChunkMergerOn(opts Options, sp *obs.Span) *ChunkMerger {
-	return &ChunkMerger{opts: opts, sp: sp,
-		global: map[string]int32{}, merged: map[uint64]*foundPair{}}
-}
-
-// Add scans one window graph — vertex i of g is full-trace record start+i —
-// and merges its candidates, returning how many callstack pairs the window
-// added that no earlier window had produced.
-func (m *ChunkMerger) Add(g *hb.Graph, start int) int {
-	return m.Merge(m.ScanWindow(g, false), start)
+	return &ChunkMerger{sp: opts.Obs, global: map[string]int32{}, merged: map[uint64]*foundPair{}}
 }
 
 // WindowScan is one window's scanned-but-unmerged candidate map, opaque to
-// callers. It lets a pipeline scan windows on worker goroutines (ScanWindow
-// is safe to call concurrently) and fold them in window order with Merge,
-// which is what keeps the merged report deterministic.
+// callers: ScanGraph produces it (safe to call concurrently), Merge folds it
+// in window order, which is what keeps the merged report deterministic.
 type WindowScan struct {
 	fm  map[uint64]*foundPair
 	tab *internTable
-}
-
-// ScanWindow scans one window graph without merging it. With serialScan the
-// window's inner scan runs single-threaded — the choice FindChunked's
-// parallel path makes, where window-level workers subsume the per-window
-// parallelism. The result is byte-identical either way.
-func (m *ChunkMerger) ScanWindow(g *hb.Graph, serialScan bool) WindowScan {
-	opts := m.opts
-	if serialScan {
-		opts.Parallelism = 1
-	}
-	fm, tab := findMap(g, opts)
-	return WindowScan{fm: fm, tab: tab}
 }
 
 // Merge folds a scanned window into the global map; windows must arrive in
@@ -111,28 +75,11 @@ func (m *ChunkMerger) merge(fm map[uint64]*foundPair, tab *internTable, start in
 	return added
 }
 
-// Candidates returns the number of distinct callstack pairs merged so far.
-func (m *ChunkMerger) Candidates() int { return len(m.merged) }
-
-// Windows returns the number of windows merged so far.
-func (m *ChunkMerger) Windows() int { return m.windows }
-
-// Pairs snapshots the merged pairs in canonical report order without
-// consuming the merger — the streaming analyzer's per-flush provisional
-// view. The returned report shares no mutable state with the merger.
-func (m *ChunkMerger) Pairs() *Report {
-	return reportFromMap(m.merged, nil)
-}
-
-// Report closes the merger and renders the canonical report; the merger
-// must not be used after.
+// Report renders the canonical report; the merger must not be used after.
 func (m *ChunkMerger) Report() *Report {
 	out := reportFromMap(m.merged, m.sp)
 	m.sp.Attr("windows", m.windows)
 	m.sp.Attr("merged_candidates", len(out.Pairs))
 	m.sp.Count("detect.merged_candidates", int64(len(out.Pairs)))
-	if m.ownSpan {
-		m.sp.End()
-	}
 	return out
 }

@@ -44,32 +44,95 @@ type Chunk struct {
 }
 
 // ChunkWindows returns the canonical [start, end) window list chunked
-// analysis uses for a trace of n records: windows of size records sharing
-// overlap records with their predecessor (overlap defaults to size/4 and is
-// clamped to size-1). Every consumer of the window decomposition —
-// BuildChunked, the streaming analyzer's replay, and the cluster
-// coordinator/worker split — derives its windows from this one function, so
-// their merged reports are byte-identical by construction.
+// analysis uses for a trace of n records: the windows a Cutter cuts when the
+// whole trace is already there. Every consumer of the window decomposition —
+// BuildChunked, the streaming analyzer, and the cluster coordinator — derives
+// its windows from Cutter, so their merged reports are byte-identical by
+// construction.
 func ChunkWindows(n, size, overlap int) [][2]int {
+	c := NewCutter(size, overlap)
+	var windows [][2]int
+	for {
+		w, ok := c.Next(n)
+		if !ok {
+			break
+		}
+		windows = append(windows, w)
+	}
+	if w, ok := c.Tail(n); ok {
+		windows = append(windows, w)
+	}
+	return windows
+}
+
+// Cutter cuts a growing trace into chunk windows of size records, each
+// sharing overlap records with its predecessor (overlap defaults to size/4
+// and is clamped to size-1). Callers feed it the current record count: Next
+// cuts every window that has filled, Flush cuts the open window early, and
+// Tail cuts the final partial window once the trace is complete. Fed only
+// through Next and Tail it reproduces ChunkWindows for any growth pattern.
+type Cutter struct {
+	size, overlap int
+	start         int // open window's first record
+	end           int // end of the last cut window; -1 before the first
+}
+
+// NewCutter returns a cutter positioned at record 0.
+func NewCutter(size, overlap int) *Cutter {
 	if overlap <= 0 {
 		overlap = size / 4
 	}
 	if overlap >= size {
 		overlap = size - 1
 	}
-	stride := size - overlap
-	var windows [][2]int
-	for start := 0; ; start += stride {
-		end := start + size
-		if end > n {
-			end = n
-		}
-		windows = append(windows, [2]int{start, end})
-		if end >= n {
-			break
-		}
+	return &Cutter{size: size, overlap: overlap, end: -1}
+}
+
+// Next cuts the open window if it has filled within the first n records.
+// Call it until it reports false: a count that jumped by more than one
+// stride fills several windows.
+func (c *Cutter) Next(n int) ([2]int, bool) {
+	end := c.start + c.size
+	if end > n {
+		return [2]int{}, false
 	}
-	return windows
+	return c.emit(end, end-c.overlap), true
+}
+
+// Flush cuts the open window early at n records (false when it is empty).
+// The next window still starts overlap records back, clamped to the cut
+// window's own start, so the boundary keeps the coverage full windows get.
+func (c *Cutter) Flush(n int) ([2]int, bool) {
+	if n == c.start {
+		return [2]int{}, false
+	}
+	return c.emit(n, max(n-c.overlap, c.start)), true
+}
+
+// Tail cuts the final window of an n-record trace: there is one iff no
+// window has been cut yet or the last one ended before n.
+func (c *Cutter) Tail(n int) ([2]int, bool) {
+	if c.end >= n {
+		return [2]int{}, false
+	}
+	return c.emit(n, n), true
+}
+
+// Start is the open window's first record; no later window needs a record
+// before it.
+func (c *Cutter) Start() int { return c.start }
+
+func (c *Cutter) emit(end, next int) [2]int {
+	w := [2]int{c.start, end}
+	c.start, c.end = next, end
+	return w
+}
+
+// ChunkError is the error every windowed path reports for a window whose
+// graph did not fit the budget: the window's range wrapped around the
+// build error.
+func ChunkError(w [2]int, err error) error {
+	return fmt.Errorf("hb: chunk [%d,%d): %w", w[0], w[1], err)
 }
 
 // BuildChunked analyzes the trace window by window. Every window must fit
@@ -100,7 +163,7 @@ func BuildChunked(tr *trace.Trace, cfg ChunkConfig) ([]Chunk, error) {
 		copy(sub.Recs, tr.Recs[w[0]:w[1]])
 		g, err := Build(sub, base)
 		if err != nil {
-			return Chunk{}, fmt.Errorf("hb: chunk [%d,%d): %w", w[0], w[1], err)
+			return Chunk{}, ChunkError(w, err)
 		}
 		return Chunk{Start: w[0], Graph: g}, nil
 	}

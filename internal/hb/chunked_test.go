@@ -3,6 +3,7 @@ package hb
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dcatch/internal/trace"
@@ -39,40 +40,94 @@ func TestBuildChunkedCoversTrace(t *testing.T) {
 // TestChunkWindowsBoundaries pins the window arithmetic every consumer of
 // ChunkWindows — batch chunking, the stream window engines, the cluster
 // coordinator, and the scan cache's per-window keys — relies on agreeing
-// about.
+// about. Each row also drives the streaming Cutter the way eager Append
+// (one record at a time) and Coordinator.Notify (arbitrary fragments) do;
+// both must cut the same list.
 func TestChunkWindowsBoundaries(t *testing.T) {
 	cases := []struct {
 		name             string
 		n, size, overlap int
+		flushes          []int // record counts at which the open window is flushed
 		want             [][2]int
 	}{
 		// A trace shorter than one window is still one window: the cache
 		// must key the tail exactly as the batch path scans it.
-		{"ShorterThanWindow", 7, 100, 10, [][2]int{{0, 7}}},
-		{"ExactlyOneWindow", 100, 100, 10, [][2]int{{0, 100}}},
+		{"ShorterThanWindow", 7, 100, 10, nil, [][2]int{{0, 7}}},
+		{"ExactlyOneWindow", 100, 100, 10, nil, [][2]int{{0, 100}}},
 		// Zero records still produce one empty window, so every path emits
 		// a (trivial) scan instead of special-casing emptiness.
-		{"ZeroRecords", 0, 100, 10, [][2]int{{0, 0}}},
+		{"ZeroRecords", 0, 100, 10, nil, [][2]int{{0, 0}}},
 		// overlap >= size is clamped to size-1: stride 1, never an infinite
 		// loop or a zero-length stride.
-		{"OverlapEqualsSize", 5, 3, 3, [][2]int{{0, 3}, {1, 4}, {2, 5}}},
-		{"OverlapExceedsSize", 5, 3, 7, [][2]int{{0, 3}, {1, 4}, {2, 5}}},
+		{"OverlapEqualsSize", 5, 3, 3, nil, [][2]int{{0, 3}, {1, 4}, {2, 5}}},
+		{"OverlapExceedsSize", 5, 3, 7, nil, [][2]int{{0, 3}, {1, 4}, {2, 5}}},
 		// overlap <= 0 defaults to size/4.
-		{"DefaultOverlap", 200, 100, 0, [][2]int{{0, 100}, {75, 175}, {150, 200}}},
+		{"DefaultOverlap", 200, 100, 0, nil, [][2]int{{0, 100}, {75, 175}, {150, 200}}},
 		// An exact multiple of the stride must not emit a zero-length tail.
-		{"ExactStrideMultiple", 175, 100, 25, [][2]int{{0, 100}, {75, 175}}},
+		{"ExactStrideMultiple", 175, 100, 25, nil, [][2]int{{0, 100}, {75, 175}}},
+		// Early flushes: the next window starts overlap records back,
+		// clamped to the flushed window's own start (the flush at 10), and
+		// a flush at the last record leaves no tail.
+		{"EarlyFlush", 200, 100, 0, []int{10, 130, 200},
+			[][2]int{{0, 10}, {0, 100}, {75, 130}, {105, 200}}},
 	}
+	rng := rand.New(rand.NewSource(1))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := ChunkWindows(tc.n, tc.size, tc.overlap)
-			if len(got) != len(tc.want) {
-				t.Fatalf("ChunkWindows(%d,%d,%d) = %v, want %v", tc.n, tc.size, tc.overlap, got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("ChunkWindows(%d,%d,%d) = %v, want %v", tc.n, tc.size, tc.overlap, got, tc.want)
+			check := func(how string, got [][2]int) {
+				t.Helper()
+				if len(got) != len(tc.want) {
+					t.Fatalf("%s(%d,%d,%d) = %v, want %v", how, tc.n, tc.size, tc.overlap, got, tc.want)
+				}
+				for i := range got {
+					if got[i] != tc.want[i] {
+						t.Fatalf("%s(%d,%d,%d) = %v, want %v", how, tc.n, tc.size, tc.overlap, got, tc.want)
+					}
 				}
 			}
+			// cut grows the trace to n records through the given fragment
+			// boundaries, flushing at tc.flushes.
+			cut := func(bounds []int) [][2]int {
+				c := NewCutter(tc.size, tc.overlap)
+				var got [][2]int
+				for _, k := range bounds {
+					for {
+						w, ok := c.Next(k)
+						if !ok {
+							break
+						}
+						got = append(got, w)
+					}
+					if slices.Contains(tc.flushes, k) {
+						if w, ok := c.Flush(k); ok {
+							got = append(got, w)
+						}
+					}
+				}
+				if w, ok := c.Tail(tc.n); ok {
+					got = append(got, w)
+				}
+				return got
+			}
+			if tc.flushes == nil {
+				check("ChunkWindows", ChunkWindows(tc.n, tc.size, tc.overlap))
+			}
+			var perRecord []int
+			for k := 1; k <= tc.n; k++ {
+				perRecord = append(perRecord, k)
+			}
+			check("Cutter per record", cut(perRecord))
+			for rep := 0; rep < 20; rep++ {
+				// Random fragment ends, plus every flush point and n.
+				bounds := append([]int{tc.n}, tc.flushes...)
+				for k := 0; k < tc.n; {
+					k += 1 + rng.Intn(2*tc.size+1)
+					bounds = append(bounds, min(k, tc.n))
+				}
+				slices.Sort(bounds)
+				check("Cutter fragments", cut(slices.Compact(bounds)))
+			}
+			got := tc.want
 			// Invariants every consumer assumes: full coverage in order,
 			// the last window ends at n, and no window is out of range.
 			if got[0][0] != 0 || got[len(got)-1][1] != tc.n {

@@ -2,9 +2,11 @@
 // nodes, and reruns.
 //
 // The unit of caching is one window's detect.WindowScan — the
-// scanned-but-unmerged candidate map that batch chunking, the streaming
-// eager mode, and the cluster RPC all already produce and fold through
-// ChunkMerger.Merge. A window scan is a pure function of the window's
+// scanned-but-unmerged candidate map every windowed engine folds through
+// ChunkMerger.Merge. Those engines — the streaming eager mode, the chunked
+// fallback replay, the cluster worker and the coordinator's local fallback
+// — all produce it through one function, Cache.ScanWindow (probe, build,
+// scan, store; a nil *Cache scans uncached). A window scan is a pure function of the window's
 // record content and the wire-expressible analysis options (reach backend,
 // scan mode, group cap, memory budget): scan parallelism never changes the
 // canonical encoding, and observability never changes results. So the

@@ -37,6 +37,8 @@ type jobResult struct {
 // job is one unit of work moving through the manager. The run closure
 // captures the decoded inputs (benchmark + options, or trace + options);
 // the manager stays oblivious to what kind of analysis it is running.
+// Terminal jobs stay listed, so every terminal transition drops the closure
+// and the inputs with it.
 type job struct {
 	id       string
 	kind     string
@@ -167,6 +169,7 @@ func (m *manager) submit(kind, bench, cacheKey string, memNeed int64, tel jobTel
 
 	if res, ok := m.cache.get(cacheKey); ok {
 		m.rec.Count("serve.cache.hits", 1)
+		j.run = nil
 		j.cacheHit = true
 		j.state = StateDone
 		j.result = res
@@ -249,6 +252,7 @@ func (m *manager) cancelJob(id string) error {
 	j.mu.Lock()
 	if !j.claimed && j.state == StateQueued {
 		j.state = StateCanceled
+		j.run = nil
 		j.finished = time.Now()
 		created, finished := j.created, j.finished
 		close(j.done)
@@ -340,6 +344,7 @@ func (m *manager) runJob(j *job) {
 func (m *manager) finish(j *job, state string, res *jobResult, errMsg string) {
 	j.mu.Lock()
 	j.state = state
+	j.run = nil
 	j.result = res
 	j.errMsg = errMsg
 	j.finished = time.Now()

@@ -361,6 +361,82 @@ func TestQueueFull429(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsDropClosure: a job's run closure captures its decoded
+// inputs (for trace jobs the stream analyzer and the whole trace), and
+// terminal jobs stay listed, so every terminal path — done, failed, cache
+// hit, canceled while queued — must drop the closure.
+func TestTerminalJobsDropClosure(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	wait := func(j *job) {
+		t.Helper()
+		select {
+		case <-j.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s did not reach a terminal state", j.id)
+		}
+	}
+	result := func() (*jobResult, error) { return &jobResult{report: []byte("r"), summary: "r"}, nil }
+
+	done, err := s.mgr.submit(KindSubject, "fake", "drop-1", 0, jobTelemetry{}, result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(done)
+	hit, err := s.mgr.submit(KindSubject, "fake", "drop-1", 0, jobTelemetry{}, result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := s.mgr.submit(KindSubject, "fake", "drop-2", 0, jobTelemetry{}, func() (*jobResult, error) {
+		return nil, errors.New("boom")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(failed)
+
+	block, started := make(chan struct{}), make(chan struct{})
+	busy, err := s.mgr.submit(KindSubject, "fake", "drop-3", 0, jobTelemetry{}, func() (*jobResult, error) {
+		close(started)
+		<-block
+		return result()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only worker is busy, so the next job stays queued
+	queued, err := s.mgr.submit(KindSubject, "fake", "drop-4", 0, jobTelemetry{}, result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.mgr.cancelJob(queued.id); err != nil {
+		t.Fatal(err)
+	}
+	close(block)
+	wait(busy)
+
+	for _, tc := range []struct {
+		name  string
+		j     *job
+		state string
+	}{
+		{"done", done, StateDone},
+		{"cache hit", hit, StateDone},
+		{"failed", failed, StateFailed},
+		{"canceled while queued", queued, StateCanceled},
+	} {
+		wait(tc.j)
+		tc.j.mu.Lock()
+		state, run := tc.j.state, tc.j.run
+		tc.j.mu.Unlock()
+		if state != tc.state {
+			t.Errorf("%s job: state %s, want %s", tc.name, state, tc.state)
+		}
+		if run != nil {
+			t.Errorf("%s job still references its run closure", tc.name)
+		}
+	}
+}
+
 // TestCancelReleasesAdmission parks one job on most of the memory budget,
 // lets a second job block in admission, cancels it, and asserts the worker
 // slot is usable again while the first job still holds its budget.

@@ -25,6 +25,11 @@
 //     hb.BuildChunked + detect.FindChunked over the same window list
 //     (Windows() exposes it, so manual Flush boundaries stay testable).
 //
+// Both modes share one window engine: hb.Cutter cuts the windows (eagerly
+// as they fill, or over the finished trace in the non-eager chunked
+// fallback) and every window runs scancache.ScanWindow — cache probe,
+// build, scan, store — before ChunkMerger folds it in window order.
+//
 // Flush never changes what Finish returns: in non-eager mode it is a pure
 // checkpoint, in eager mode it only closes the current window early — a
 // boundary the batch chunked oracle can replicate.
@@ -59,11 +64,9 @@ type Options struct {
 	// ChunkSize enables windowed analysis: in eager mode it is the window
 	// length; in non-eager mode it is the fallback window length when the
 	// full closure exceeds HB.MemBudget, exactly as core.AnalyzeTrace's
-	// chunked fallback. 0 disables both.
+	// chunked fallback. 0 disables both. Consecutive windows share
+	// ChunkSize/4 records (the hb.ChunkWindows default).
 	ChunkSize int
-	// ChunkOverlap is how many records consecutive windows share; defaults
-	// to ChunkSize/4 (the hb.ChunkConfig default).
-	ChunkOverlap int
 
 	// Eager analyzes windows as they fill and releases records behind the
 	// current window. Requires ChunkSize > 0.
@@ -82,12 +85,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 
 	// Cache, when non-nil, memoizes per-window scans in both the eager
-	// windowed mode and the non-eager chunked fallback: a window whose
-	// record bytes and wire-expressible options match a cached entry skips
-	// its graph build and scan entirely, folding the cached canonical DCWS
-	// bytes through the merger instead. Results stay byte-identical to an
-	// uncached run by construction. Options outside the wire-expressible
-	// subset disable the lookup (see scancache.SpecFor).
+	// windowed mode and the non-eager chunked fallback (every window runs
+	// scancache.ScanWindow): a window whose record bytes and
+	// wire-expressible options match a cached entry skips its graph build
+	// and scan entirely, folding the cached canonical DCWS bytes through the
+	// merger instead. Results stay byte-identical to an uncached run by
+	// construction. Options outside the wire-expressible subset disable the
+	// lookup (see scancache.SpecFor).
 	Cache *scancache.Cache
 
 	// Obs, when non-nil, receives the analyzer's own metrics:
@@ -286,13 +290,15 @@ func (a *Analyzer) AppendBatch(rs []trace.Rec) {
 }
 
 // AppendTrace feeds a whole decoded trace. In non-eager mode with no records
-// buffered yet the record slice is adopted without copying — the batch
+// buffered yet the trace is adopted without copying its records — the batch
 // entry-point case, and how an Ingest loop hands over the decoder's trace
 // (only records past the ingested prefix go through the provisional engine).
+// Adoption keeps a decoded trace's byte count, so sizing it never
+// re-encodes.
 func (a *Analyzer) AppendTrace(tr *trace.Trace) {
 	a.SetMeta(tr.Program, tr.QueueConsumers)
 	if a.win == nil && len(a.tr.Recs) == 0 && a.count <= len(tr.Recs) {
-		a.tr.Recs = tr.Recs
+		*a.tr = *tr
 		a.count = len(tr.Recs)
 		if a.prov != nil {
 			for i := a.ingested; i < len(a.tr.Recs); i++ {

@@ -8,6 +8,8 @@ import (
 	"dcatch/internal/bench"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
+	"dcatch/internal/obs"
+	"dcatch/internal/scancache"
 	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
@@ -332,6 +334,40 @@ func TestStreamFallbackMatchesBatchChunked(t *testing.T) {
 	an.AppendTrace(tr)
 	if res := an.Finish(); !res.OOM || !res.Chunked || res.Err == nil {
 		t.Fatal("expected chunked OOM result")
+	}
+}
+
+// Once a window fails its budget the fallback replay launches no further
+// window. Every window of this trace fails, so each launched window is one
+// scan-cache probe: with one window in flight exactly one is launched, with
+// four at most four are, and the error is still the lowest-index window's,
+// as hb.BuildChunked reports it.
+func TestStreamFallbackStopsAfterOOM(t *testing.T) {
+	tr := bench.SyntheticTrace(2000, 7)
+	const chunk = 256
+	hcfg := hb.Config{ReachBackend: hb.BackendDense, MemBudget: 1000}
+	_, want := hb.BuildChunked(tr, hb.ChunkConfig{Base: hcfg, ChunkSize: chunk})
+	if want == nil {
+		t.Fatal("batch chunked unexpectedly fit")
+	}
+	windows := len(hb.ChunkWindows(len(tr.Recs), chunk, 0))
+	for _, par := range []int{1, 4} {
+		rec := obs.New()
+		sc, err := scancache.New(scancache.Config{Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcfg.Parallelism = par
+		an := stream.New(stream.Options{HB: hcfg, ChunkSize: chunk, Cache: sc})
+		an.AppendTrace(tr)
+		res := an.Finish()
+		if !res.OOM || !res.Chunked || res.Err == nil || res.Err.Error() != want.Error() {
+			t.Fatalf("par %d: got OOM=%v chunked=%v err=%v, want chunked OOM %q", par, res.OOM, res.Chunked, res.Err, want)
+		}
+		launched := int(rec.Counters()["scancache.misses"])
+		if launched < 1 || launched > par || (par == 1 && launched != 1) {
+			t.Fatalf("par %d: %d of %d windows launched, want at most %d", par, launched, windows, par)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package stream
 
 import (
-	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
@@ -10,88 +10,25 @@ import (
 	"dcatch/internal/trace"
 )
 
-// winCached wraps the optional window-scan cache for both window engines
-// (eager and replay). probe/store are no-ops when no cache is configured or
-// when the options carry state outside the wire-expressible key subset.
-type winCached struct {
-	cache *scancache.Cache
-	spec  scancache.Spec
-	on    bool
-}
-
-func newWinCached(cache *scancache.Cache, hcfg hb.Config, dopts detect.Options) winCached {
-	if cache == nil {
-		return winCached{}
-	}
-	spec, ok := scancache.SpecFor(hcfg, dopts)
-	return winCached{cache: cache, spec: spec, on: ok}
-}
-
-// probe looks the window up by its record content. A hit returns a freshly
-// decoded scan — ChunkMerger.Merge rebases scans in place, so cached bytes
-// must be decoded per use, never shared between merges. A payload that
-// fails the decoder is discarded from the cache and reported as a miss.
-func (wc winCached) probe(sub *trace.Trace) (key scancache.Key, ws detect.WindowScan, ent scancache.Entry, hit bool) {
-	if !wc.on {
-		return key, ws, ent, false
-	}
-	key = wc.spec.KeyTrace(sub)
-	ent, ok := wc.cache.Get(key)
-	if !ok {
-		return key, ws, scancache.Entry{}, false
-	}
-	ws, err := detect.DecodeWindowScan(ent.Payload)
-	if err != nil {
-		wc.cache.Discard(key)
-		return key, detect.WindowScan{}, scancache.Entry{}, false
-	}
-	return key, ws, ent, true
-}
-
-// store persists a freshly scanned window. ws must not yet have passed
-// through Merge (which rebases its record indices in place) — callers
-// encode first, merge after.
-func (wc winCached) store(key scancache.Key, ws detect.WindowScan, g *hb.Graph, records int) {
-	if !wc.on {
-		return
-	}
-	wc.cache.Put(key, scancache.Entry{
-		Payload:  ws.Encode(),
-		Backend:  g.Backend().String(),
-		MemBytes: g.MemBytes(),
-		Records:  records,
-	})
-}
-
 // Eager windowed analysis: the streaming form of the chunked fallback
-// (hb.BuildChunked + detect.FindChunked). Windows close the moment they
-// fill — or early, at a manual Flush — and are built, scanned and merged on
-// arrival; records behind the next window's start are then released, so live
-// memory stays around one window plus its graph no matter how long the
-// stream runs.
-//
-// Window arithmetic replicates BuildChunked exactly: overlap defaults to
-// ChunkSize/4 and is clamped to ChunkSize-1, a full window [start,
-// start+ChunkSize) is followed by one starting at end-overlap, and the tail
-// window is closed at Finish iff no window has closed yet or the last one
-// ended before the final record count — the streaming restatement of the
-// batch loop's `if end >= n break`. With no manual Flush the closed-window
-// list is therefore the batch list, and since each window is analyzed by the
-// same Build/scan/merge code, Finish is byte-identical to the batch chunked
-// path. Manual Flush inserts a boundary the batch oracle reproduces by
-// chunking over Windows().
+// (hb.BuildChunked + detect.FindChunked). An hb.Cutter cuts each window the
+// moment it fills — or early, at a manual Flush — and the window is scanned
+// (scancache.ScanWindow) and merged on arrival; records behind the next
+// window's start are then released, so live memory stays around one window
+// plus its graph no matter how long the stream runs. With no manual Flush
+// the cut list is hb.ChunkWindows' list and each window runs the same scan
+// and merge, so Finish is byte-identical to the batch chunked path. Manual
+// Flush inserts a boundary the batch oracle reproduces by chunking over
+// Windows().
 
 type windowed struct {
-	a       *Analyzer
-	size    int
-	overlap int
+	a   *Analyzer
+	cut *hb.Cutter
 
-	start   int // open window's start, full-trace index
 	bufBase int // full-trace index of buf[0]
 	buf     []trace.Rec
 
 	merger *detect.ChunkMerger
-	wc     winCached
 	closed [][2]int
 
 	peakGraph int64
@@ -100,19 +37,10 @@ type windowed struct {
 }
 
 func newWindowed(a *Analyzer) *windowed {
-	overlap := a.opts.ChunkOverlap
-	if overlap <= 0 {
-		overlap = a.opts.ChunkSize / 4
-	}
-	if overlap >= a.opts.ChunkSize {
-		overlap = a.opts.ChunkSize - 1
-	}
 	return &windowed{
-		a:       a,
-		size:    a.opts.ChunkSize,
-		overlap: overlap,
-		merger:  detect.NewChunkMerger(a.opts.Detect),
-		wc:      newWinCached(a.opts.Cache, a.opts.HB, a.opts.Detect),
+		a:      a,
+		cut:    hb.NewCutter(a.opts.ChunkSize, 0),
+		merger: detect.NewChunkMerger(a.opts.Detect),
 	}
 }
 
@@ -121,88 +49,56 @@ func (w *windowed) append(r trace.Rec) {
 		return // analysis already failed; the result is OOM regardless
 	}
 	w.buf = append(w.buf, r)
-	if count := w.bufBase + len(w.buf); count == w.start+w.size {
-		w.close(count, count-w.overlap)
+	if win, ok := w.cut.Next(w.bufBase + len(w.buf)); ok {
+		w.close(win)
 	}
 }
 
-// flush closes the open window early. The next window still starts overlap
-// records back (clamped to the closed window's own start), preserving the
-// boundary-spanning coverage full windows get.
+// flush closes the open window early.
 func (w *windowed) flush() {
-	count := w.bufBase + len(w.buf)
-	if w.err != nil || count == w.start {
+	if w.err != nil {
 		return
 	}
-	next := count - w.overlap
-	if next < w.start {
-		next = w.start
+	if win, ok := w.cut.Flush(w.bufBase + len(w.buf)); ok {
+		w.close(win)
 	}
-	w.close(count, next)
 }
 
-// close analyzes the open window [w.start, end), releases records behind
-// next, and opens the next window there.
-func (w *windowed) close(end, next int) {
-	// The cache probe hashes a zero-copy view of the live buffer; the probe
-	// finishes before the copy-down below touches it, so nothing races. The
-	// record copy — needed because the buffer is released right after — is
-	// paid only when the window actually has to be built.
-	sub := &trace.Trace{
-		Program:        w.a.tr.Program,
-		Recs:           w.buf[w.start-w.bufBase : end-w.bufBase],
-		QueueConsumers: w.a.tr.QueueConsumers,
-	}
-	var ws detect.WindowScan
-	var gm int64
-	var be string
-	key, cws, ent, hit := w.wc.probe(sub)
-	if hit {
-		// A cached entry under this key was produced by a build with the
-		// same MemBudget that succeeded; admission is deterministic, so
-		// skipping the build cannot hide an OOM this run would have hit.
-		ws, gm, be = cws, ent.MemBytes, ent.Backend
-	} else {
-		sub.Recs = append([]trace.Rec(nil), sub.Recs...)
-		g, err := hb.Build(sub, w.a.opts.HB)
-		if err != nil {
-			w.err = fmt.Errorf("hb: chunk [%d,%d): %w", w.start, end, err)
-			w.buf = nil
-			return
-		}
-		ws = w.merger.ScanWindow(g, false)
-		gm, be = g.MemBytes(), g.Backend().String()
-		w.wc.store(key, ws, g, len(sub.Recs))
+// close analyzes the cut window and releases records behind the next
+// window's start.
+func (w *windowed) close(win [2]int) {
+	// The scan reads a zero-copy view of the live buffer and is done before
+	// the copy-down below reuses it.
+	buf := &trace.Trace{Program: w.a.tr.Program, Recs: w.buf, QueueConsumers: w.a.tr.QueueConsumers}
+	sw, err := w.a.opts.Cache.ScanWindow(buf.Window(win[0]-w.bufBase, win[1]-w.bufBase), win[0], w.a.opts.HB, w.a.opts.Detect)
+	if err != nil {
+		w.err = err
+		w.buf = nil
+		return
 	}
 	if len(w.closed) == 0 {
-		w.backend = be
+		w.backend = sw.Backend
 	}
-	if gm > w.peakGraph {
-		w.peakGraph = gm
-	}
-	w.a.notePeak(gm)
-	added := w.merger.Merge(ws, w.start)
-	w.closed = append(w.closed, [2]int{w.start, end})
-	w.a.emit(Event{Kind: EventWindow, Records: end,
-		WindowStart: w.start, WindowEnd: end, Added: added})
+	w.peakGraph = max(w.peakGraph, sw.MemBytes)
+	w.a.notePeak(sw.MemBytes)
+	added := w.merger.Merge(sw.Scan, win[0])
+	w.closed = append(w.closed, win)
+	w.a.emit(Event{Kind: EventWindow, Records: win[1],
+		WindowStart: win[0], WindowEnd: win[1], Added: added})
 
-	// Release everything behind the next window's start; the copy-down
-	// keeps the backing array at one window plus overlap.
-	if drop := next - w.bufBase; drop > 0 {
-		n := copy(w.buf, w.buf[drop:])
+	// The copy-down keeps the backing array at one window plus overlap.
+	if next := w.cut.Start(); next > w.bufBase {
+		n := copy(w.buf, w.buf[next-w.bufBase:])
 		w.buf = w.buf[:n]
 		w.bufBase = next
 	}
-	w.start = next
 }
 
 func (w *windowed) finish() *Result {
 	n := w.a.count
 	if w.err == nil {
-		// Tail guard: the batch loop always emits at least one window, and
-		// emits a tail iff the previous window ended before n.
-		if len(w.closed) == 0 || w.closed[len(w.closed)-1][1] < n {
-			w.close(n, n)
+		if win, ok := w.cut.Tail(n); ok {
+			w.close(win)
 		}
 	}
 	if w.err != nil {
@@ -217,147 +113,91 @@ func (w *windowed) finish() *Result {
 	}
 }
 
-// batchWindows computes hb.BuildChunked's window list for n records.
-func batchWindows(n, size, overlap int) [][2]int {
-	return hb.ChunkWindows(n, size, overlap)
-}
-
-// replayWindows is the non-eager fallback: the accumulated trace is replayed
-// through the same window engine the eager mode uses, producing the bytes
-// hb.BuildChunked + detect.FindChunked would. Windows flow through a bounded
-// ordered pipeline — up to HB.Parallelism in flight, each worker building
-// its window's graph and scanning it single-threaded (FindChunked's
-// window-level sharding), the merge folding results in window order — so at
-// most that many window graphs are ever alive at once, which is the same
-// transient peak BuildChunked documents.
+// replayWindows is the non-eager fallback: the accumulated trace is cut by
+// hb.ChunkWindows and every window runs the eager mode's per-window step
+// (scancache.ScanWindow), producing the bytes hb.BuildChunked +
+// detect.FindChunked would. Windows flow through one bounded ordered
+// pipeline: up to HB.Parallelism windows in flight (1 means one at a time),
+// each built and scanned single-threaded on its own goroutine — the
+// window-level sharding FindChunked uses — while the merge folds them in
+// window order. At most that many window graphs are ever alive at once,
+// the transient peak BuildChunked documents. Once a window fails its budget
+// no further window is launched; the lowest-index failure is reported, as
+// BuildChunked reports it.
 func (a *Analyzer) replayWindows() *Result {
-	cfg := a.opts.HB
-	bsp := cfg.Obs.Child("hb.build_chunked")
-	cfg.Obs = bsp
-	windows := batchWindows(len(a.tr.Recs), a.opts.ChunkSize, a.opts.ChunkOverlap)
+	hcfg := a.opts.HB
+	bsp := hcfg.Obs.Child("hb.build_chunked")
+	hcfg.Obs, hcfg.Parallelism = bsp, 1
+	dopts := a.opts.Detect
+	fsp := dopts.Obs.Child("detect.find_chunked")
+	dopts.Obs = fsp
+	windows := hb.ChunkWindows(len(a.tr.Recs), a.opts.ChunkSize, 0)
 	bsp.Attr("windows", len(windows))
 	bsp.Count("hb.chunk_windows", int64(len(windows)))
 
-	merger := detect.NewChunkMerger(a.opts.Detect)
-	wc := newWinCached(a.opts.Cache, a.opts.HB, a.opts.Detect)
-	subFor := func(wn [2]int) *trace.Trace {
-		sub := &trace.Trace{
-			Program:        a.tr.Program,
-			Recs:           make([]trace.Rec, wn[1]-wn[0]),
-			QueueConsumers: a.tr.QueueConsumers,
-		}
-		copy(sub.Recs, a.tr.Recs[wn[0]:wn[1]])
-		return sub
-	}
-	build := func(wn [2]int, sub *trace.Trace, base hb.Config) (*hb.Graph, error) {
-		g, err := hb.Build(sub, base)
-		if err != nil {
-			return nil, fmt.Errorf("hb: chunk [%d,%d): %w", wn[0], wn[1], err)
-		}
-		return g, nil
-	}
-
-	p := cfg.Parallelism
+	p := a.opts.HB.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > len(windows) {
-		p = len(windows)
+	type scanned struct {
+		start int
+		win   scancache.Window
+		err   error
 	}
+	// One reply channel per launched window, queued in window order; the
+	// queue holds every window, so the launcher never waits on the merge.
+	launched := make(chan chan scanned, len(windows))
+	slots := make(chan struct{}, p)
+	var failed atomic.Bool
+	go func() {
+		defer close(launched)
+		for _, wn := range windows {
+			slots <- struct{}{}
+			// A failing scan sets failed before it frees its slot, so the
+			// launcher sees it here and stops.
+			if failed.Load() {
+				return
+			}
+			out := make(chan scanned, 1)
+			launched <- out
+			go func() {
+				win, err := a.opts.Cache.ScanWindow(a.tr.Window(wn[0], wn[1]), wn[0], hcfg, dopts)
+				if err != nil {
+					failed.Store(true)
+				}
+				<-slots
+				out <- scanned{start: wn[0], win: win, err: err}
+			}()
+		}
+	}()
 
+	merger := detect.NewChunkMerger(dopts)
 	var ferr error
 	var peak int64
 	var backend string
-	if p <= 1 {
-		for _, wn := range windows {
-			// Probe on a zero-copy window view (the accumulated trace is
-			// immutable during replay); copy the records only for windows
-			// that actually get built.
-			var ws detect.WindowScan
-			var mem int64
-			var be string
-			key, cws, ent, hit := wc.probe(a.tr.Window(wn[0], wn[1]))
-			if hit {
-				ws, mem, be = cws, ent.MemBytes, ent.Backend
-			} else {
-				g, err := build(wn, subFor(wn), cfg)
-				if err != nil {
-					ferr = err
-					break
-				}
-				ws = merger.ScanWindow(g, false)
-				mem, be = g.MemBytes(), g.Backend().String()
-				wc.store(key, ws, g, wn[1]-wn[0])
-			}
+	for out := range launched {
+		s := <-out
+		switch {
+		case ferr != nil:
+		case s.err != nil:
+			ferr = s.err
+		default:
 			if backend == "" {
-				backend = be
+				backend = s.win.Backend
 			}
-			if mem > peak {
-				peak = mem
-			}
-			merger.Merge(ws, wn[0])
-		}
-	} else {
-		base := cfg
-		base.Parallelism = 1
-		type scanOut struct {
-			ws  detect.WindowScan
-			mem int64
-			be  string
-			err error
-		}
-		scans := make([]chan scanOut, len(windows))
-		for i := range scans {
-			scans[i] = make(chan scanOut, 1)
-		}
-		sem := make(chan struct{}, p)
-		go func() {
-			for i, wn := range windows {
-				sem <- struct{}{}
-				go func(i int, wn [2]int) {
-					defer func() { <-sem }()
-					key, cws, ent, hit := wc.probe(a.tr.Window(wn[0], wn[1]))
-					if hit {
-						scans[i] <- scanOut{ws: cws, mem: ent.MemBytes, be: ent.Backend}
-						return
-					}
-					g, err := build(wn, subFor(wn), base)
-					if err != nil {
-						scans[i] <- scanOut{err: err}
-						return
-					}
-					ws := merger.ScanWindow(g, true)
-					wc.store(key, ws, g, wn[1]-wn[0])
-					scans[i] <- scanOut{ws: ws, mem: g.MemBytes(), be: g.Backend().String()}
-				}(i, wn)
-			}
-		}()
-		for i := range windows {
-			out := <-scans[i]
-			if out.err != nil {
-				if ferr == nil {
-					ferr = out.err
-				}
-				continue
-			}
-			if ferr != nil {
-				continue
-			}
-			if backend == "" {
-				backend = out.be
-			}
-			if out.mem > peak {
-				peak = out.mem
-			}
-			merger.Merge(out.ws, windows[i][0])
+			peak = max(peak, s.win.MemBytes)
+			merger.Merge(s.win.Scan, s.start)
 		}
 	}
 	bsp.End()
 	if ferr != nil {
+		fsp.End()
 		return &Result{OOM: true, Err: ferr, Chunked: true}
 	}
+	rep := merger.Report()
+	fsp.End()
 	return &Result{
-		Report:     merger.Report(),
+		Report:     rep,
 		Chunked:    true,
 		HBVertices: len(a.tr.Recs),
 		HBMemBytes: peak,

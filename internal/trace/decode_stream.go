@@ -129,6 +129,9 @@ func (d *StreamDecoder) Feed(p []byte) (int, error) {
 		}
 		d.consumed += int64(c.i - d.off)
 		d.off = c.i
+		if d.phase == phaseDone {
+			d.t.markDecoded(int(d.consumed))
+		}
 	}
 	// Compact the consumed prefix so the retained tail stays bounded by one
 	// partial unit rather than growing with the stream.

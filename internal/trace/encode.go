@@ -110,8 +110,37 @@ func (t *Trace) Encode() []byte {
 	return buf.Bytes()
 }
 
-// EncodedSize returns the binary size in bytes (Tables 6 and 8).
-func (t *Trace) EncodedSize() int { return len(t.Encode()) }
+// EncodedSize returns the binary size in bytes (Tables 6 and 8). A decoded
+// trace reports the byte count its decoder consumed — re-encoding a
+// million-record trace just to size it costs as much as decoding it — as
+// long as Recs is still the decoded record slice with the same record
+// count; after an append, or once Recs is replaced, it encodes. Callers
+// that rewrite decoded records in place without changing their count must
+// size the trace with len(Encode()).
+func (t *Trace) EncodedSize() int {
+	if n := len(t.Recs); t.decodedBytes > 0 && n == len(t.decodedRecs) &&
+		(n == 0 || &t.Recs[0] == &t.decodedRecs[0]) {
+		return t.decodedBytes
+	}
+	return len(t.Encode())
+}
+
+// markDecoded records that n input bytes decoded into the current records.
+func (t *Trace) markDecoded(n int) {
+	t.decodedBytes, t.decodedRecs = n, t.Recs
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
 
 type reader struct {
 	r   *bufio.Reader
@@ -159,7 +188,8 @@ func (d *reader) byte() byte {
 
 // Decode parses a binary trace.
 func Decode(in io.Reader) (*Trace, error) {
-	d := &reader{r: bufio.NewReader(in)}
+	cr := &countingReader{r: in}
+	d := &reader{r: bufio.NewReader(cr)}
 	var m [4]byte
 	if _, err := io.ReadFull(d.r, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: missing magic: %w", err)
@@ -258,6 +288,7 @@ func Decode(in io.Reader) (*Trace, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	t.markDecoded(cr.n - d.r.Buffered())
 	return t, nil
 }
 

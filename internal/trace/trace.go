@@ -132,6 +132,12 @@ type Trace struct {
 	Recs    []Rec
 	// QueueConsumers maps "node/queue" to its consumer-thread count.
 	QueueConsumers map[string]int
+
+	// decodedBytes is how many input bytes Decode or StreamDecoder consumed
+	// to produce decodedRecs; EncodedSize reports it while Recs still holds
+	// exactly those records.
+	decodedBytes int
+	decodedRecs  []Rec
 }
 
 // SingleConsumer reports whether the named queue has exactly one consumer.

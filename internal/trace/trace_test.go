@@ -228,6 +228,40 @@ func TestEncodedSizeGrows(t *testing.T) {
 	}
 }
 
+// A decoded trace sizes itself from the bytes its decoder consumed: for
+// canonical input that is len(input) and the source trace's own size, with
+// no re-encode. Once the records change it encodes again.
+func TestEncodedSizeFromDecode(t *testing.T) {
+	src := sample()
+	enc := src.Encode()
+	decoded, err := Decode(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := NewStreamDecoder()
+	for i := 0; i < len(enc); i += 7 {
+		if _, err := sd.Feed(enc[i:min(i+7, len(enc))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamed, err := sd.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Trace{"Decode": decoded, "StreamDecoder": streamed} {
+		if got := tr.EncodedSize(); got != len(enc) || got != src.EncodedSize() {
+			t.Fatalf("%s: EncodedSize = %d, want len(input) = source size = %d", name, got, len(enc))
+		}
+		if tr.decodedBytes != len(enc) {
+			t.Fatalf("%s: recorded %d decoded bytes, want %d", name, tr.decodedBytes, len(enc))
+		}
+		tr.Recs = append(tr.Recs, Rec{Node: "n9", Kind: KMemWrite, Obj: "n9/new", StaticID: 99})
+		if got, want := tr.EncodedSize(), len(tr.Encode()); got != want || got == len(enc) {
+			t.Fatalf("%s after append: EncodedSize = %d, want re-encoded %d", name, got, want)
+		}
+	}
+}
+
 func TestEncodeJSON(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sample().EncodeJSON(&buf); err != nil {
